@@ -27,7 +27,8 @@ std::string ArtifactStore::deriveKey(const hls::Kernel& kernel,
     HashStream h;
     // v2: HlsResult payloads carry the Program network tables, so keys
     // derived before the process-network model must not alias new ones.
-    h.field(std::string_view("socgen-artifact-key-v2"));
+    // v3: payloads no longer carry HDL text; old objects miss cleanly.
+    h.field(std::string_view("socgen-artifact-key-v3"));
     const Digest128 kernelFp = hls::fingerprintKernel(kernel);
     const Digest128 directivesFp = hls::fingerprintDirectives(directives);
     h.field(kernelFp.hi);

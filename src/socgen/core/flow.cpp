@@ -1105,8 +1105,9 @@ void Flow::writeArtifacts(const FlowResult& result) const {
     writeFileAtomic(dir + "/" + result.projectName + ".tg", result.dslText);
     writeFileAtomic(dir + "/" + result.projectName + ".tcl", result.tclText);
     for (const auto& [name, hlsResult] : result.hlsResults) {
-        writeFileAtomic(dir + "/hls/" + name + ".vhd", hlsResult.vhdl);
-        writeFileAtomic(dir + "/hls/" + name + ".v", hlsResult.verilog);
+        const hls::HdlText& hdl = hlsResult.hdl();
+        writeFileAtomic(dir + "/hls/" + name + ".vhd", hdl.vhdl);
+        writeFileAtomic(dir + "/hls/" + name + ".v", hdl.verilog);
         writeFileAtomic(dir + "/hls/" + name + "_directives.tcl", hlsResult.directiveText);
         writeFileAtomic(dir + "/hls/" + name + "_report.txt", hlsResult.reportText);
     }

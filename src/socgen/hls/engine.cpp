@@ -16,6 +16,14 @@
 
 namespace socgen::hls {
 
+const HdlText& HlsResult::hdl() const {
+    std::call_once(hdl_->once, [this] {
+        hdl_->text.vhdl = rtl::VhdlEmitter{}.emit(netlist);
+        hdl_->text.verilog = rtl::VerilogEmitter{}.emit(netlist);
+    });
+    return hdl_->text;
+}
+
 HlsResult HlsEngine::synthesize(const Kernel& kernel, const Directives& directives) const {
     Logger::global().info("hls: synthesizing kernel " + kernel.name());
     verify(kernel);
@@ -42,8 +50,6 @@ HlsResult HlsEngine::synthesize(const Kernel& kernel, const Directives& directiv
     result.schedule = scheduleKernel(k, directives, latency_);
     result.binding = bindKernel(result.schedule, latency_);
     result.netlist = generateRtl(k, result.schedule, result.binding);
-    result.vhdl = rtl::VhdlEmitter{}.emit(result.netlist);
-    result.verilog = rtl::VerilogEmitter{}.emit(result.netlist);
     result.directiveText = directives.render(k.name());
     result.program = compileKernel(k, result.schedule);
 
@@ -249,8 +255,6 @@ HlsResult HlsEngine::assembleNetwork(
     HlsResult result;
     result.kernelName = network.name();
     result.netlist = std::move(wrapper);
-    result.vhdl = rtl::VhdlEmitter{}.emit(result.netlist);
-    result.verilog = rtl::VerilogEmitter{}.emit(result.netlist);
     result.program = std::move(program);
     for (const HlsResult* r : processResults) {
         result.resources += r->resources;

@@ -10,20 +10,27 @@
 #include "socgen/rtl/netlist.hpp"
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace socgen::hls {
 
+/// The HDL text of one netlist, in both languages the flow writes.
+struct HdlText {
+    std::string vhdl;
+    std::string verilog;
+};
+
 /// Everything one HLS run produces for a kernel — the equivalent of a
-/// Vivado HLS solution directory.
+/// Vivado HLS solution directory. HDL is not part of the record: it is a
+/// view printed from `netlist` when an artifact is written.
 struct HlsResult {
     std::string kernelName;
     KernelSchedule schedule;
     KernelBinding binding;
-    rtl::Netlist netlist;
-    std::string vhdl;            ///< emitted RTL text (VHDL)
-    std::string verilog;         ///< emitted RTL text (Verilog)
+    rtl::Netlist netlist;        ///< fixed once built: copies share its hdl()
     std::string directiveText;   ///< the directives file the DSL assembled
     std::string reportText;      ///< schedule/resource report
     ResourceEstimate resources;  ///< core resources incl. interface logic
@@ -31,6 +38,19 @@ struct HlsResult {
     double toolSeconds = 0.0;    ///< deterministic simulated Vivado HLS time
 
     HlsResult() : netlist("uninitialised") {}
+
+    /// VHDL and Verilog of `netlist`, printed on the first call. Every
+    /// copy of a result shares one view, so a result handed out many
+    /// times (e.g. by the flow's HlsCache) is printed once; concurrent
+    /// first calls are safe.
+    [[nodiscard]] const HdlText& hdl() const;
+
+private:
+    struct HdlView {
+        std::once_flag once;
+        HdlText text;
+    };
+    std::shared_ptr<HdlView> hdl_ = std::make_shared<HdlView>();
 };
 
 /// The HLS engine facade: verify -> schedule -> bind -> codegen -> price.
@@ -47,10 +67,11 @@ public:
 
     /// Assembles a network-level HlsResult from already synthesized
     /// per-process results (`processResults` parallel to
-    /// `network.processes()`): a dataflow wrapper netlist instantiating
-    /// every process netlist plus one rtl::makeFifo per channel with the
-    /// handshake glue between them, emitted HDL for the wrapper, a fused
-    /// network Program for system simulation, and summed resources. The
+    /// `network.processes()`): one flat dataflow wrapper netlist into
+    /// which every process netlist and one rtl::makeFifo per channel are
+    /// flattened with the handshake glue between them, a fused network
+    /// Program for system simulation, and summed resources. No HDL is
+    /// printed here; the wrapper's text comes from hdl() on demand. The
     /// assembly is cheap and deterministic — per-process synthesis is
     /// where the tool time goes, which is why the flow caches processes
     /// individually and re-assembles on every run. For a trivial network

@@ -331,8 +331,6 @@ std::string encodeHlsResult(const HlsResult& result) {
     BinWriter w;
     w.u32(kHlsResultCodecVersion);
     w.str(result.kernelName);
-    w.str(result.vhdl);
-    w.str(result.verilog);
     w.str(result.directiveText);
     w.str(result.reportText);
     w.f64(result.toolSeconds);
@@ -354,8 +352,6 @@ HlsResult decodeHlsResult(std::string_view bytes) {
         }
         HlsResult result;
         result.kernelName = r.str();
-        result.vhdl = r.str();
-        result.verilog = r.str();
         result.directiveText = r.str();
         result.reportText = r.str();
         result.toolSeconds = r.f64();

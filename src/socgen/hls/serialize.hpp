@@ -11,9 +11,10 @@ namespace socgen::hls {
 
 /// Binary codec for HlsResult — the unit of persistence of the flow's
 /// artifact store. The encoding is a versioned flat byte stream covering
-/// every field the downstream flow consumes (RTL text, netlist, schedule,
-/// binding, executable program, resources), so a decoded result is
-/// interchangeable with a freshly synthesized one.
+/// every field the downstream flow consumes (netlist, schedule, binding,
+/// executable program, resources, reports), so a decoded result is
+/// interchangeable with a freshly synthesized one. HDL text is not
+/// stored: HlsResult::hdl() prints it from the decoded netlist.
 ///
 /// The format is internal to one store: no cross-version compatibility is
 /// attempted — `decodeHlsResult` throws ArtifactError on any version or
@@ -22,7 +23,8 @@ namespace socgen::hls {
 /// Current encoding version; bumped whenever the layout changes.
 /// v2: Program carries the process-network payload (child programs,
 /// channels, external-port bindings).
-inline constexpr std::uint32_t kHlsResultCodecVersion = 2;
+/// v3: the VHDL/Verilog text is dropped; it is derived from the netlist.
+inline constexpr std::uint32_t kHlsResultCodecVersion = 3;
 
 [[nodiscard]] std::string encodeHlsResult(const HlsResult& result);
 

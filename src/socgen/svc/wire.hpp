@@ -23,7 +23,9 @@ namespace socgen::svc::wire {
 /// kernels, so the worker must receive the full AST, not a name to look
 /// up in some library it does not have.
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// v2: Result frames carry the v3 HlsResult codec (no HDL text), so a
+/// stale worker is refused at Hello instead of failing its first reply.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Upper bound on one frame; anything larger is certain corruption of
 /// the length prefix (a desynced or hostile peer), not a real payload.

@@ -1,3 +1,4 @@
+#include "socgen/apps/dataflow.hpp"
 #include "socgen/apps/kernels.hpp"
 #include "socgen/common/error.hpp"
 #include "socgen/common/textfile.hpp"
@@ -10,6 +11,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 
 namespace socgen::core {
 namespace {
@@ -103,7 +105,7 @@ TEST(Flow, ParallelJobsMatchSerialResults) {
     EXPECT_EQ(a.tclText, b.tclText);
     EXPECT_EQ(a.synthesis.total, b.synthesis.total);
     for (const auto& [name, result] : a.hlsResults) {
-        EXPECT_EQ(result.vhdl, b.hlsResults.at(name).vhdl) << name;
+        EXPECT_EQ(result.hdl().vhdl, b.hlsResults.at(name).hdl().vhdl) << name;
     }
 }
 
@@ -178,6 +180,79 @@ TEST(Flow, WritesArtifactsToOutputDir) {
     EXPECT_TRUE(fs::exists(dir + "/proj/design.dot"));
     EXPECT_TRUE(fs::exists(dir + "/proj/utilisation.txt"));
     fs::remove_all(dir);
+}
+
+// The HDL a flow writes is printed from each node's netlist at write
+// time. For a single-kernel node and for a process-network node (the
+// flattened wrapper) it must equal the committed emitter goldens, byte
+// for byte.
+TEST(Flow, WrittenHdlMatchesGoldens) {
+    namespace fs = std::filesystem;
+    constexpr const char* dsl = R"(
+object mixed extends App {
+  tg nodes;
+    tg node "ADD" i "A" i "B" i "return" end;
+    tg node "triStagePipe" is "din" is "dout" end;
+  tg end_nodes;
+  tg edges;
+    tg link 'soc to ("triStagePipe","din") end;
+    tg link ("triStagePipe","dout") to 'soc end;
+    tg connect "ADD";
+  tg end_edges;
+}
+)";
+    hls::KernelLibrary kernels;
+    kernels.add(apps::makeAddKernel());
+    kernels.add(apps::makeStreamPipelineNetwork(8));
+    const std::string dir = testing::TempDir() + "/socgen_flow_hdl";
+    fs::remove_all(dir);
+    FlowOptions options;
+    options.outputDir = dir;
+    (void)Flow(options, kernels).run("mixed", parseDsl(dsl).graph);
+    const auto golden = [](const std::string& file) {
+        return readTextFile(std::string(SOCGEN_GOLDEN_DIR) + "/" + file);
+    };
+    const std::string hls = dir + "/mixed/hls/";
+    EXPECT_EQ(readTextFile(hls + "ADD.vhd"), golden("hls_add.vhd"));
+    EXPECT_EQ(readTextFile(hls + "ADD.v"), golden("hls_add.v"));
+    EXPECT_EQ(readTextFile(hls + "triStagePipe.vhd"), golden("dataflow_tri.vhd"));
+    EXPECT_EQ(readTextFile(hls + "triStagePipe.v"), golden("dataflow_tri.v"));
+    fs::remove_all(dir);
+}
+
+// Results copied out of one HlsCache share one HDL view: two flows
+// writing concurrently print each core once and write identical files.
+TEST(Flow, CachedResultsShareOneHdlEmission) {
+    namespace fs = std::filesystem;
+    const hls::KernelLibrary kernels = exampleKernels();
+    auto cache = std::make_shared<HlsCache>();
+    const FlowResult warm = Flow(FlowOptions{}, kernels, cache).run("warm", quickstartGraph());
+
+    const std::string root = testing::TempDir() + "/socgen_flow_shared_hdl";
+    fs::remove_all(root);
+    const auto runInto = [&](const std::string& sub) {
+        return std::async(std::launch::async, [&, sub] {
+            FlowOptions options;
+            options.outputDir = root + "/" + sub;
+            return Flow(options, kernels, cache).run("proj", quickstartGraph());
+        });
+    };
+    auto first = runInto("a");
+    auto second = runInto("b");
+    const FlowResult a = first.get();
+    const FlowResult b = second.get();
+
+    ASSERT_EQ(a.hlsResults.size(), 3u);
+    for (const auto& [name, result] : a.hlsResults) {
+        for (const char* ext : {".vhd", ".v"}) {
+            const std::string file = "/proj/hls/" + name + ext;
+            EXPECT_EQ(readTextFile(root + "/a" + file), readTextFile(root + "/b" + file))
+                << file;
+        }
+        EXPECT_EQ(&result.hdl(), &b.hlsResults.at(name).hdl()) << name;
+        EXPECT_EQ(&result.hdl(), &warm.hlsResults.at(name).hdl()) << name;
+    }
+    fs::remove_all(root);
 }
 
 TEST(Flow, MarkdownReportCoversEverything) {

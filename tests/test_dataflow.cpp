@@ -130,8 +130,8 @@ TEST(TrivialNetwork, AssemblyReturnsProcessResultUnchanged) {
     const hls::HlsResult direct = engine.synthesize(kernel, hls::Directives{});
     const hls::HlsResult viaNet =
         engine.synthesize(ProcessNetwork::fromKernel(kernel));
-    EXPECT_EQ(direct.vhdl, viaNet.vhdl);
-    EXPECT_EQ(direct.verilog, viaNet.verilog);
+    EXPECT_EQ(direct.hdl().vhdl, viaNet.hdl().vhdl);
+    EXPECT_EQ(direct.hdl().verilog, viaNet.hdl().verilog);
     EXPECT_EQ(hls::encodeHlsResult(direct), hls::encodeHlsResult(viaNet));
 }
 
@@ -769,8 +769,8 @@ TEST(NetworkDse, PerProcessDirectiveAxis) {
     EXPECT_EQ(outcomes[1].result.diagnostics.processCacheHits(), 2u);
     // And the variant's netlists genuinely differ for the re-synthesized
     // node result.
-    EXPECT_NE(outcomes[0].result.hlsResults.at("triStagePipe").vhdl,
-              outcomes[1].result.hlsResults.at("triStagePipe").vhdl);
+    EXPECT_NE(outcomes[0].result.hlsResults.at("triStagePipe").hdl().vhdl,
+              outcomes[1].result.hlsResults.at("triStagePipe").hdl().vhdl);
 }
 
 // ---------------------------------------------------------------------------

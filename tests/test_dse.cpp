@@ -144,8 +144,8 @@ TEST(Explorer, SweepResynthesizesOnlyInvalidatedKernels) {
     // different artifact than the base one.
     EXPECT_NE(outcomes[1].result.hlsResults.at("GAUSS").directiveText,
               outcomes[0].result.hlsResults.at("GAUSS").directiveText);
-    EXPECT_EQ(outcomes[2].result.hlsResults.at("GAUSS").vhdl,
-              outcomes[0].result.hlsResults.at("GAUSS").vhdl);
+    EXPECT_EQ(outcomes[2].result.hlsResults.at("GAUSS").hdl().vhdl,
+              outcomes[0].result.hlsResults.at("GAUSS").hdl().vhdl);
     EXPECT_LT(outcomes[2].toolSeconds, outcomes[0].toolSeconds);
 }
 

@@ -5,6 +5,7 @@
 // zero re-synthesis of journal-committed nodes and never a silently
 // loaded corrupt artifact.
 
+#include "socgen/apps/dataflow.hpp"
 #include "socgen/apps/kernels.hpp"
 #include "socgen/common/error.hpp"
 #include "socgen/common/textfile.hpp"
@@ -13,6 +14,8 @@
 #include "socgen/core/journal.hpp"
 #include "socgen/core/parser.hpp"
 #include "socgen/hls/serialize.hpp"
+#include "socgen/rtl/verilog.hpp"
+#include "socgen/rtl/vhdl.hpp"
 #include "socgen/sim/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -233,7 +236,8 @@ TEST(FlowRecovery, ChangedDirectivesNeverHitTheStaleCacheEntry) {
     const FlowResult again =
         Flow(FlowOptions{}, kernels, cache).run("c", quickstartGraph());
     EXPECT_TRUE(outcomeOf(again, "GAUSS").cacheHit);
-    EXPECT_EQ(again.hlsResults.at("GAUSS").vhdl, plain.hlsResults.at("GAUSS").vhdl);
+    EXPECT_EQ(again.hlsResults.at("GAUSS").hdl().vhdl,
+              plain.hlsResults.at("GAUSS").hdl().vhdl);
 }
 
 TEST(FlowRecovery, ArtifactKeySensitivity) {
@@ -457,26 +461,38 @@ TEST(FlowRecovery, SwitchedSimBackendResetsTheJournal) {
 // Codec: a decoded artifact is interchangeable with a fresh result, and
 // damage anywhere in the byte stream is detected.
 
+/// Encodes and decodes `original` and checks the copy field by field.
+/// HDL is not stored, so the netlist must carry everything the printers
+/// read: the HDL a store hit writes equals a fresh synthesis's.
+void expectCodecRoundTrip(const hls::HlsResult& original) {
+    const std::string bytes = hls::encodeHlsResult(original);
+    const hls::HlsResult decoded = hls::decodeHlsResult(bytes);
+    EXPECT_EQ(decoded.kernelName, original.kernelName);
+    EXPECT_EQ(rtl::VhdlEmitter{}.emit(decoded.netlist),
+              rtl::VhdlEmitter{}.emit(original.netlist));
+    EXPECT_EQ(rtl::VerilogEmitter{}.emit(decoded.netlist),
+              rtl::VerilogEmitter{}.emit(original.netlist));
+    EXPECT_EQ(decoded.directiveText, original.directiveText);
+    EXPECT_EQ(decoded.reportText, original.reportText);
+    EXPECT_DOUBLE_EQ(decoded.toolSeconds, original.toolSeconds);
+    EXPECT_EQ(decoded.resources, original.resources);
+    EXPECT_EQ(decoded.program.ports.size(), original.program.ports.size());
+    EXPECT_EQ(decoded.netlist.cells().size(), original.netlist.cells().size());
+    EXPECT_EQ(decoded.netlist.nets().size(), original.netlist.nets().size());
+    // Re-encoding the decode is byte-stable (canonical form).
+    EXPECT_EQ(hls::encodeHlsResult(decoded), bytes);
+}
+
 TEST(FlowRecovery, HlsResultCodecRoundTrips) {
     const hls::KernelLibrary kernels = exampleKernels();
     const FlowResult result = Flow(FlowOptions{}, kernels).run("proj", quickstartGraph());
     for (const std::string& node : graphNodes()) {
-        const hls::HlsResult& original = result.hlsResults.at(node);
-        const std::string bytes = hls::encodeHlsResult(original);
-        const hls::HlsResult decoded = hls::decodeHlsResult(bytes);
-        EXPECT_EQ(decoded.kernelName, original.kernelName);
-        EXPECT_EQ(decoded.vhdl, original.vhdl);
-        EXPECT_EQ(decoded.verilog, original.verilog);
-        EXPECT_EQ(decoded.directiveText, original.directiveText);
-        EXPECT_EQ(decoded.reportText, original.reportText);
-        EXPECT_DOUBLE_EQ(decoded.toolSeconds, original.toolSeconds);
-        EXPECT_EQ(decoded.resources, original.resources);
-        EXPECT_EQ(decoded.program.ports.size(), original.program.ports.size());
-        EXPECT_EQ(decoded.netlist.cells().size(), original.netlist.cells().size());
-        EXPECT_EQ(decoded.netlist.nets().size(), original.netlist.nets().size());
-        // Re-encoding the decode is byte-stable (canonical form).
-        EXPECT_EQ(hls::encodeHlsResult(decoded), bytes);
+        SCOPED_TRACE(node);
+        expectCodecRoundTrip(result.hlsResults.at(node));
     }
+    // A multi-process network: the flattened wrapper with its FIFOs.
+    SCOPED_TRACE("triStagePipe");
+    expectCodecRoundTrip(hls::HlsEngine{}.synthesize(apps::makeStreamPipelineNetwork(8)));
 }
 
 TEST(FlowRecovery, CodecRejectsTruncationAndTrailingGarbage) {

@@ -16,6 +16,7 @@
 #include "socgen/hls/engine.hpp"
 #include "socgen/hls/interpreter.hpp"
 #include "socgen/hls/optimize.hpp"
+#include "socgen/hls/serialize.hpp"
 #include "socgen/hls/unroll.hpp"
 #include "socgen/hls/verify.hpp"
 #include "socgen/rtl/compiled_sim.hpp"
@@ -202,11 +203,17 @@ TEST_P(KernelFuzz, UnrollPreservesSemantics) {
 }
 
 TEST_P(KernelFuzz, FullHlsPipelineAccepts) {
-    // Schedule, bind, lower to RTL, emit HDL — no crashes, valid netlists.
+    // Schedule, bind, lower to RTL — no crashes, valid netlists — and the
+    // stored form keeps everything the HDL printers read, since written
+    // HDL is printed from a decoded netlist on a store hit.
     const hls::HlsResult r =
         hls::HlsEngine{}.synthesize(randomKernel(GetParam()), hls::Directives{});
-    EXPECT_FALSE(r.vhdl.empty());
-    EXPECT_FALSE(r.verilog.empty());
+    const hls::HlsResult decoded = hls::decodeHlsResult(hls::encodeHlsResult(r));
+    EXPECT_EQ(rtl::VhdlEmitter{}.emit(decoded.netlist), rtl::VhdlEmitter{}.emit(r.netlist))
+        << "seed " << GetParam();
+    EXPECT_EQ(rtl::VerilogEmitter{}.emit(decoded.netlist),
+              rtl::VerilogEmitter{}.emit(r.netlist))
+        << "seed " << GetParam();
     EXPECT_GT(r.resources.lut, 0);
 }
 

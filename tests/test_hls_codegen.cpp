@@ -156,18 +156,17 @@ TEST(Resources, CaseStudyDspColumn) {
 TEST(Engine, ResultCarriesAllArtifacts) {
     const HlsResult r = synth(apps::makeGaussKernel(128));
     EXPECT_EQ(r.kernelName, "GAUSS");
-    EXPECT_FALSE(r.vhdl.empty());
     EXPECT_FALSE(r.reportText.empty());
     EXPECT_FALSE(r.directiveText.empty());
     EXPECT_FALSE(r.program.instrs.empty());
     EXPECT_GT(r.toolSeconds, 0.0);
-    EXPECT_NE(r.vhdl.find("entity GAUSS"), std::string::npos);
+    EXPECT_NE(r.hdl().vhdl.find("entity GAUSS"), std::string::npos);
 }
 
 TEST(Engine, DeterministicAcrossRuns) {
     const HlsResult a = synth(apps::makeEdgeKernel(64));
     const HlsResult b = synth(apps::makeEdgeKernel(64));
-    EXPECT_EQ(a.vhdl, b.vhdl);
+    EXPECT_EQ(a.hdl().vhdl, b.hdl().vhdl);
     EXPECT_EQ(a.resources, b.resources);
     EXPECT_DOUBLE_EQ(a.toolSeconds, b.toolSeconds);
 }

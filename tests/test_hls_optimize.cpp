@@ -218,8 +218,7 @@ TEST(Optimize, EngineReportsOptimizerStats) {
     kb.setResult(r, kb.add(kb.c(1), kb.c(2)));
     const HlsResult result = HlsEngine{}.synthesize(kb.build(), Directives{});
     EXPECT_NE(result.reportText.find("optimizer:"), std::string::npos);
-    EXPECT_FALSE(result.verilog.empty());
-    EXPECT_NE(result.verilog.find("module report"), std::string::npos);
+    EXPECT_NE(result.hdl().verilog.find("module report"), std::string::npos);
 }
 
 TEST(Optimize, StrengthReductionMulByPowerOfTwo) {

@@ -7,6 +7,7 @@
 #include "socgen/apps/kernels.hpp"
 #include "socgen/common/error.hpp"
 #include "socgen/common/log.hpp"
+#include "socgen/common/textfile.hpp"
 #include "socgen/core/artifact_store.hpp"
 #include "socgen/hls/engine.hpp"
 #include "socgen/hls/serialize.hpp"
@@ -274,6 +275,44 @@ TEST(WorkerFleet, UnspawnableWorkersDegradeToUnavailable) {
                  WorkerUnavailableError);
     EXPECT_FALSE(fleet.available());
     EXPECT_GE(fleet.stats().spawnFailures, 1u);
+}
+
+TEST(WorkerFleet, StaleProtocolWorkerIsRefusedAtHello) {
+    // A worker built before protocol v2 would reply with the older
+    // HlsResult codec that still carried HDL text. It must be refused at
+    // Hello, before any request reaches it: a stand-in script says Hello
+    // v1 and then waits.
+    FleetFixture fx;
+    ASSERT_NE(wire::kProtocolVersion, 1u);
+    const fs::path dir = fx.root + "_stale_worker";
+    fs::create_directories(dir);
+    wire::HelloFrame hello;
+    hello.protocolVersion = 1;
+    hello.pid = 1;
+    writeBinaryFile((dir / "hello.bin").string(),
+                    wire::encodeFrame(wire::FrameType::Hello, wire::encodeHello(hello)));
+    const fs::path script = dir / "socgen-worker-v1";
+    writeTextFile(script.string(), "#!/bin/sh\ncat '" + (dir / "hello.bin").string() +
+                                       "'\nexec sleep 30\n");
+    fs::permissions(script, fs::perms::owner_all);
+
+    WorkerFleetConfig config;
+    config.workers = 1;
+    config.workerPath = script.string();
+    config.respawnBackoffBaseMs = 1;
+    {
+        WorkerFleet fleet(config, fx.store);
+        EXPECT_THROW((void)fleet.synthesize(fx.kernel, fx.directives, fx.key),
+                     WorkerUnavailableError);
+        EXPECT_FALSE(fleet.available());
+        const WorkerFleetStats stats = fleet.stats();
+        EXPECT_EQ(stats.spawns, 0u);
+        EXPECT_GE(stats.spawnFailures, 1u);
+        EXPECT_EQ(stats.requestsCompleted, 0u);
+    }
+    core::ArtifactStore::LoadDiag diag;
+    EXPECT_FALSE(fx.store->load(fx.key, &diag).has_value());
+    fs::remove_all(dir);
 }
 
 TEST(WorkerFleet, PausedWorkerLateCommitIsFencedNotApplied) {
