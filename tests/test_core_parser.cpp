@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace socgen::core {
 namespace {
 
@@ -130,6 +132,10 @@ struct BadCase {
     const char* name;
     const char* source;
 };
+
+// Without this gtest prints a case as the raw bytes of its two pointers,
+// which differ from run to run, and the discovered test names with them.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserErrors : public testing::TestWithParam<BadCase> {};
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 namespace socgen::rtl {
 namespace {
 
@@ -66,12 +69,20 @@ TEST(NetlistSim, MacAccumulates) {
     EXPECT_EQ(sim.output("acc"), 0u);
 }
 
+// gtest names each case by the raw bytes of its parameter, so the struct
+// must hold no padding: padding bytes are whatever the stack held, and the
+// test names would change from run to run. `zero` fills the word after
+// `kind`.
 struct BinCase {
+    constexpr BinCase(CellKind k, std::uint64_t x, std::uint64_t y, std::uint64_t e)
+        : kind(k), a(x), b(y), expected(e) {}
     CellKind kind;
+    std::uint32_t zero = 0;
     std::uint64_t a;
     std::uint64_t b;
     std::uint64_t expected;
 };
+static_assert(std::has_unique_object_representations_v<BinCase>);
 
 class BinaryCellSim : public testing::TestWithParam<BinCase> {};
 
